@@ -1,7 +1,7 @@
 //! Wall-clock benchmark of the oracle/routing hot path, written to
 //! `BENCH_mpc.json` at the repository root.
 //!
-//! Three workloads, timed with `std::time::Instant` (best of several
+//! Nine workloads, timed with `std::time::Instant` (best of several
 //! repetitions — the compat criterion shim prints means but exports
 //! nothing, so the committed artifact is produced here):
 //!
@@ -47,7 +47,7 @@
 //!    [`DEFAULT_EVERY`] cells, cold directory per repetition). Results
 //!    must match cell-for-cell — measurements, means, retries, telemetry
 //!    (`byte_identical`) — and the full run asserts the durability cost
-//!    stays under 1.05×.
+//!    stays under 1.5×.
 //!
 //! 7. **`sharded_pipeline`** — the same trials through the in-process
 //!    executor, the multi-process shard supervisor

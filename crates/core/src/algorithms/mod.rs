@@ -158,6 +158,7 @@ impl BlockAssignment {
 const TAG_BLOCK: u64 = 1;
 const TAG_TOKEN: u64 = 2;
 const TAG_WIDTH: usize = 2;
+const TAG_MASK: u64 = (1 << TAG_WIDTH) - 1;
 
 /// A parsed incoming message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -269,14 +270,22 @@ impl Codec {
 
     /// Encodes a token message.
     pub fn encode_token(&self, i: u64, l: usize, r: &BitVec) -> BitVec {
-        self.token_layout
-            .pack(&[
-                FieldValue::Int(TAG_TOKEN),
-                FieldValue::Int(i),
-                FieldValue::Int(l as u64),
-                r.into(),
-            ])
-            .expect("token fields sized by params")
+        let mut out = BitVec::with_capacity(self.token_bits());
+        self.encode_token_into(i, l, &r.as_view(), &mut out);
+        out
+    }
+
+    /// Encodes a token message into `out`, reusing its allocation — the
+    /// token walk's hand-off path. Bit-identical to packing the token
+    /// layout field by field; panics, like [`Codec::encode_token`], when a
+    /// field does not fit its width.
+    pub fn encode_token_into(&self, i: u64, l: usize, r: &BitSlice<'_>, out: &mut BitVec) {
+        assert_eq!(r.len(), self.params.u, "chain width mismatch");
+        out.clear();
+        out.push_u64(TAG_TOKEN, TAG_WIDTH);
+        out.push_u64(i, self.token_i_width);
+        out.push_u64(l as u64, self.params.l_width());
+        out.extend_from_view(r);
     }
 
     /// Decodes any wire message by its tag.
@@ -365,8 +374,7 @@ impl Codec {
     /// granularity, or a leading tag that is not a block's. Tag bits lead
     /// every wire record, so a bundle can never be confused with a token
     /// even when their bit lengths coincide. A `Some` answer promises only
-    /// the shape; callers validate each record via
-    /// [`Codec::bundle_record`] + [`Codec::decode_view`].
+    /// the shape; [`Codec::validate_bundle`] checks every record.
     pub fn bundle_records(&self, payload: &BitSlice<'_>) -> Option<usize> {
         let bb = self.block_bits();
         if payload.is_empty() || payload.len() % bb != 0 {
@@ -382,6 +390,53 @@ impl Codec {
     pub fn bundle_record<'a>(&self, payload: &BitSlice<'a>, k: usize) -> BitSlice<'a> {
         let bb = self.block_bits();
         payload.slice(k * bb, bb)
+    }
+
+    /// The `tag | idx` header of record `k` of a bundle-length payload, as
+    /// one integer: a single `read_u64` of `TAG_WIDTH + ⌈log v⌉` bits.
+    #[inline]
+    fn record_header(&self, payload: &BitSlice<'_>, k: usize) -> u64 {
+        payload.read_u64(k * self.block_bits(), TAG_WIDTH + self.params.l_width())
+    }
+
+    /// Validates a whole window bundle with one header read per record,
+    /// returning its record count.
+    ///
+    /// `Some(k)` exactly when `payload` is `k ≥ 1` back-to-back records
+    /// that each [`Codec::decode_view`] to a [`ParsedView::Block`]: a block
+    /// record decodes as a block iff its tag is the block tag and its
+    /// index is `< v` (the body is any `u` bits). A record's length is
+    /// `block_bits`, never `token_bits` (the token's index field is at
+    /// least one bit wide), so no record can decode as a token instead.
+    pub fn validate_bundle(&self, payload: &BitSlice<'_>) -> Option<usize> {
+        let bb = self.block_bits();
+        if payload.is_empty() || payload.len() % bb != 0 {
+            return None;
+        }
+        let records = payload.len() / bb;
+        let v = self.params.v as u64;
+        (0..records)
+            .all(|k| {
+                let header = self.record_header(payload, k);
+                header & TAG_MASK == TAG_BLOCK && header >> TAG_WIDTH < v
+            })
+            .then_some(records)
+    }
+
+    /// The block index of every record of a bundle that passed
+    /// [`Codec::validate_bundle`], in record order, by one header read
+    /// each.
+    pub fn bundle_indices<'s>(
+        &'s self,
+        bundle: &'s BitSlice<'_>,
+    ) -> impl Iterator<Item = usize> + 's {
+        (0..bundle.len() / self.block_bits())
+            .map(move |k| (self.record_header(bundle, k) >> TAG_WIDTH) as usize)
+    }
+
+    /// The `u`-bit body of record `k` of a window bundle, zero-copy.
+    pub fn record_body<'a>(&self, bundle: &BitSlice<'a>, k: usize) -> BitSlice<'a> {
+        bundle.slice(k * self.block_bits() + TAG_WIDTH + self.params.l_width(), self.params.u)
     }
 }
 
@@ -482,6 +537,48 @@ mod tests {
         let mut oob = codec.encode_block(9, &BitVec::zeros(16));
         oob.write_u64(2, 15, 4); // idx field = 15 >= v = 10
         assert_eq!(codec.decode(&oob), None);
+    }
+
+    #[test]
+    fn token_encode_matches_layout_pack() {
+        let params = LineParams::new(64, 100, 16, 10);
+        let codec = Codec::new(params);
+        let r = BitVec::from_u64(0xBEEF, 16);
+        let packed = codec
+            .token_layout
+            .pack(&[
+                FieldValue::Int(TAG_TOKEN),
+                FieldValue::Int(99),
+                FieldValue::Int(9),
+                (&r).into(),
+            ])
+            .unwrap();
+        let mut out = BitVec::ones(300);
+        codec.encode_token_into(99, 9, &r.as_view(), &mut out);
+        assert_eq!(out, packed);
+        assert_eq!(codec.encode_token(99, 9, &r), packed);
+    }
+
+    #[test]
+    fn bundle_headers_and_bodies_match_decode() {
+        let params = LineParams::new(64, 100, 16, 10);
+        let codec = Codec::new(params);
+        let mut bundle = BitVec::new();
+        for (idx, body) in [(4, 0x1111), (7, 0x2222), (4, 0x3333)] {
+            bundle.extend_bits(&codec.encode_block(idx, &BitVec::from_u64(body, 16)));
+        }
+        let view = bundle.as_view();
+        assert_eq!(codec.validate_bundle(&view), Some(3));
+        assert_eq!(codec.bundle_indices(&view).collect::<Vec<_>>(), vec![4, 7, 4]);
+        for k in 0..3 {
+            let Some(ParsedView::Block { idx, x }) =
+                codec.decode_view(codec.bundle_record(&view, k))
+            else {
+                panic!("record {k} must decode as a block");
+            };
+            assert_eq!(codec.bundle_indices(&view).nth(k), Some(idx));
+            assert_eq!(codec.record_body(&view, k).to_bitvec(), x.to_bitvec());
+        }
     }
 
     #[test]

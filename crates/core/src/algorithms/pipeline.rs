@@ -24,6 +24,7 @@ use crate::params::LineParams;
 use mph_bits::{BitSlice, BitVec};
 use mph_mpc::{Inbox, MachineLogic, ModelViolation, Outbox, RoundCtx, Simulation};
 use mph_oracle::{Oracle, RandomTape};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Which function the pipeline computes.
@@ -151,7 +152,7 @@ impl Pipeline {
 
     /// One oracle step: query node `i` with block `x` and chain
     /// `scratch.r`, updating the scratch buffers in place and returning the
-    /// new pointer `ℓ`. Steady-state advances touch only the three reused
+    /// new pointer `ℓ`. Steady-state advances touch only the reused
     /// buffers — no allocation per step.
     fn advance(
         &self,
@@ -185,13 +186,64 @@ impl Pipeline {
     }
 }
 
-/// Reusable buffers for the token walk: the chain value, the packed query,
-/// and the oracle answer. One instance lives per `round` call; every
-/// advance reuses the same three allocations.
+/// Where each block sits in the token holder's memory image: for block
+/// `idx`, the inbox message and the record within it. Slots are stamped
+/// with the walk that wrote them, so starting a walk empties the table
+/// without touching its `v` slots.
+#[derive(Default)]
+struct BlockTable {
+    walk: u32,
+    slots: Vec<Slot>,
+}
+
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    walk: u32,
+    msg: usize,
+    record: usize,
+}
+
+impl BlockTable {
+    /// Empties the table for a walk over `v` blocks.
+    fn begin(&mut self, v: usize) {
+        if self.slots.len() < v {
+            self.slots.resize(v, Slot::default());
+        }
+        self.walk = self.walk.wrapping_add(1);
+        if self.walk == 0 {
+            self.slots.fill(Slot::default());
+            self.walk = 1;
+        }
+    }
+
+    /// Records that block `idx` is record `record` of message `msg`; a
+    /// later insert for the same block replaces an earlier one.
+    fn insert(&mut self, idx: usize, msg: usize, record: usize) {
+        self.slots[idx] = Slot { walk: self.walk, msg, record };
+    }
+
+    /// The `(msg, record)` holding block `idx` in this walk, if any.
+    fn get(&self, idx: usize) -> Option<(usize, usize)> {
+        let slot = self.slots[idx];
+        (slot.walk == self.walk).then_some((slot.msg, slot.record))
+    }
+}
+
+/// Reusable state for the token walk: the block table, the chain value,
+/// the packed query, the oracle answer, and the outgoing token. One
+/// instance lives per worker thread, so the walk allocates nothing in
+/// steady state.
+#[derive(Default)]
 struct WalkScratch {
+    blocks: BlockTable,
     r: BitVec,
     query: BitVec,
     answer: BitVec,
+    token: BitVec,
+}
+
+thread_local! {
+    static WALK_SCRATCH: RefCell<WalkScratch> = RefCell::default();
 }
 
 impl MachineLogic for Pipeline {
@@ -202,33 +254,26 @@ impl MachineLogic for Pipeline {
         out: &mut Outbox,
     ) -> Result<(), ModelViolation> {
         // Parse memory zero-copy: the block window and (possibly) the
-        // token stay as views into the round arena. The window is
-        // persisted by re-bundling every held block record into ONE
-        // concatenated self-message — a machine's cross-round state is a
-        // single s-bit memory image, and shipping it as a single message
-        // costs one send record, one routing decision and one inbox entry
-        // per round instead of one per block (the wire bits are
-        // identical). Round-0 seeds arrive as single-block bundles and
-        // coalesce on the first forward. Only the token holder needs
-        // blocks *indexed*; every other machine — the common case, all
-        // but one per round — validates and forwards with no per-round
-        // block table at all.
+        // token stay as views into the round arena. Every block record is
+        // validated every round by one header read
+        // ([`Codec::validate_bundle`]). The window is persisted by
+        // re-bundling every held block record into ONE concatenated
+        // self-message — a machine's cross-round state is a single s-bit
+        // memory image, and shipping it as a single message costs one send
+        // record, one routing decision and one inbox entry per round
+        // instead of one per block (the wire bits are identical). Round-0
+        // seeds arrive as single-block bundles and coalesce on the first
+        // forward.
         let mut token: Option<(u64, usize, BitSlice<'_>)> = None;
         let mut holds_blocks = false;
         for msg in incoming.iter() {
-            if let Some(records) = self.codec.bundle_records(&msg.payload) {
-                for k in 0..records {
-                    match self.codec.decode_view(self.codec.bundle_record(&msg.payload, k)) {
-                        Some(ParsedView::Block { .. }) => {}
-                        _ => {
-                            return Err(ctx.error(format!(
-                                "malformed block record in bundle ({} bits) in memory",
-                                msg.payload.len()
-                            )))
-                        }
-                    }
-                }
+            if self.codec.validate_bundle(&msg.payload).is_some() {
                 holds_blocks = true;
+            } else if self.codec.bundle_records(&msg.payload).is_some() {
+                return Err(ctx.error(format!(
+                    "malformed block record in bundle ({} bits) in memory",
+                    msg.payload.len()
+                )));
             } else {
                 match self.codec.decode_view(msg.payload) {
                     Some(ParsedView::Token { i, l, r }) => token = Some((i, l, r)),
@@ -251,36 +296,34 @@ impl MachineLogic for Pipeline {
             );
         }
 
-        // Walk the line as far as local blocks allow. Queried blocks stay
-        // zero-copy views into the round arena; the chain value, packed
-        // query, and oracle answer cycle through one reused buffer each, so
-        // a multi-advance visit allocates only on its first step.
-        if let Some((mut i, mut l, r)) = token {
-            // A second decode pass builds the block index — decoding a view
-            // is a header parse, and re-walking the one token holder's
-            // inbox is far cheaper than allocating an index on the
-            // machines that never consult one.
-            let mut local: Vec<Option<BitSlice<'_>>> = vec![None; self.params.v];
-            for msg in incoming.iter() {
-                let Some(records) = self.codec.bundle_records(&msg.payload) else {
-                    continue;
-                };
-                for k in 0..records {
-                    if let Some(ParsedView::Block { idx, x }) =
-                        self.codec.decode_view(self.codec.bundle_record(&msg.payload, k))
-                    {
-                        local[idx] = Some(x);
+        // Walk the line as far as local blocks allow. Only the token
+        // holder indexes its blocks, from one more header read per record
+        // into its thread's reused table; when an index repeats, the last
+        // record in delivery order wins. Queried blocks stay zero-copy
+        // views into the round arena, and the chain value, packed query,
+        // oracle answer and outgoing token cycle through per-thread
+        // buffers.
+        let Some((mut i, mut l, r)) = token else {
+            return Ok(());
+        };
+        WALK_SCRATCH.with_borrow_mut(|scratch| {
+            scratch.blocks.begin(self.params.v);
+            for (j, msg) in incoming.iter().enumerate() {
+                if self.codec.bundle_records(&msg.payload).is_some() {
+                    for (k, idx) in self.codec.bundle_indices(&msg.payload).enumerate() {
+                        scratch.blocks.insert(idx, j, k);
                     }
                 }
             }
-            let mut scratch =
-                WalkScratch { r: r.to_bitvec(), query: BitVec::new(), answer: BitVec::new() };
+            scratch.r.clear();
+            scratch.r.extend_from_view(&r);
             loop {
                 debug_assert!(i <= self.params.w, "token index past the line");
                 let needed = self.needed_block(i, l);
-                match &local[needed] {
-                    Some(x) => {
-                        l = self.advance(ctx, i, x, &mut scratch)?;
+                match scratch.blocks.get(needed) {
+                    Some((j, k)) => {
+                        let x = self.codec.record_body(&incoming.get(j).payload, k);
+                        l = self.advance(ctx, i, &x, scratch)?;
                         i += 1;
                         if i > self.params.w {
                             // The answer to query w is the function output.
@@ -291,8 +334,8 @@ impl MachineLogic for Pipeline {
                             // bound.
                             let me = ctx.machine();
                             out.retain_sends(|to| to != me);
-                            out.emit(scratch.answer);
-                            break;
+                            out.emit(std::mem::take(&mut scratch.answer));
+                            return Ok(());
                         }
                     }
                     None => {
@@ -302,13 +345,18 @@ impl MachineLogic for Pipeline {
                             ctx.machine(),
                             "routed to self for a block we do not hold"
                         );
-                        out.push(dest, &self.codec.encode_token(i, l, &scratch.r));
-                        break;
+                        self.codec.encode_token_into(
+                            i,
+                            l,
+                            &scratch.r.as_view(),
+                            &mut scratch.token,
+                        );
+                        out.push(dest, &scratch.token);
+                        return Ok(());
                     }
                 }
             }
-        }
-        Ok(())
+        })
     }
 }
 
@@ -480,6 +528,169 @@ mod tests {
             assert_eq!(reused.rounds(), baseline.rounds());
             assert_eq!(reused.stats, baseline.stats);
         }
+    }
+
+    /// Rewrites a window self-message in place.
+    type TamperFn = fn(&Pipeline, &mut BitVec);
+
+    /// The honest pipeline, except that after machine `victim`'s round
+    /// `at` its window self-message is rewritten by `tamper`.
+    struct Tamper {
+        inner: Arc<Pipeline>,
+        victim: usize,
+        at: usize,
+        tamper: TamperFn,
+    }
+
+    impl MachineLogic for Tamper {
+        fn round(
+            &self,
+            ctx: &RoundCtx<'_>,
+            incoming: &Inbox<'_>,
+            out: &mut Outbox,
+        ) -> Result<(), ModelViolation> {
+            if ctx.machine() != self.victim || ctx.round() != self.at {
+                return self.inner.round(ctx, incoming, out);
+            }
+            let mut honest = Outbox::new();
+            self.inner.round(ctx, incoming, &mut honest)?;
+            for send in honest.sends() {
+                let mut payload = honest.payload(send).to_bitvec();
+                if send.to == self.victim {
+                    (self.tamper)(&self.inner, &mut payload);
+                }
+                out.push(send.to, &payload);
+            }
+            if let Some(output) = honest.output.take() {
+                out.emit(output);
+            }
+            Ok(())
+        }
+    }
+
+    /// A Line run whose `v = 12` leaves index values 12..16 representable
+    /// but out of range, with memory head-room for appended bits.
+    fn malformed_setup() -> (Arc<Pipeline>, Simulation) {
+        let params = LineParams::new(64, 60, 16, 12);
+        let pipeline = Pipeline::new(params, BlockAssignment::new(12, 4, 4), Target::Line);
+        let oracle = Arc::new(LazyOracle::square(12, params.n));
+        let mut rng = StdRng::seed_from_u64(12);
+        let blocks = random_blocks(&mut rng, params.v, params.u);
+        let s = pipeline.required_s() + 64;
+        let sim = pipeline.build_simulation(oracle, RandomTape::new(0), s, None, &blocks);
+        (pipeline, sim)
+    }
+
+    fn malformed(machine: usize, round: usize, what: &str, bits: usize) -> ModelViolation {
+        ModelViolation::AlgorithmError {
+            machine,
+            round,
+            reason: format!("{what} ({bits} bits) in memory"),
+        }
+    }
+
+    const BAD_RECORD: &str = "malformed block record in bundle";
+    const BAD_MESSAGE: &str = "malformed message";
+
+    #[test]
+    fn malformed_seeded_memory_is_rejected_in_round_zero() {
+        let (pipeline, _) = malformed_setup();
+        let codec = pipeline.codec();
+        let bb = codec.block_bits();
+        let record = codec.encode_block(3, &BitVec::ones(16));
+        let mut flipped_tag = record.clone();
+        flipped_tag.write_u64(0, 0, 2);
+        let mut out_of_range = record.clone();
+        out_of_range.write_u64(2, 14, pipeline.params().l_width());
+        let mut ragged = record;
+        ragged.extend_zeros(3);
+        let cases = [
+            (flipped_tag, malformed(2, 0, BAD_MESSAGE, bb)),
+            (out_of_range, malformed(2, 0, BAD_RECORD, bb)),
+            (ragged, malformed(2, 0, BAD_MESSAGE, bb + 3)),
+        ];
+        for (payload, expected) in cases {
+            let (_, mut sim) = malformed_setup();
+            sim.seed_memory(2, payload);
+            assert_eq!(sim.run_until_output(1000).unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn malformed_window_bundle_is_rejected_the_next_round() {
+        // Machine 1's steady-state window is one 4-record bundle; each
+        // tamper breaks it at round 3, and the machine must refuse its
+        // memory image at round 4.
+        let (pipeline, _) = malformed_setup();
+        let window_bits = 4 * pipeline.codec().block_bits();
+        let cases: [(TamperFn, ModelViolation); 4] = [
+            // A later record's tag: still bundle-shaped, one bad record.
+            (
+                |p, bundle| bundle.write_u64(p.codec().block_bits(), 3, 2),
+                malformed(1, 4, BAD_RECORD, window_bits),
+            ),
+            // The leading tag: no longer a bundle, and not a token either.
+            (|_, bundle| bundle.write_u64(0, 2, 2), malformed(1, 4, BAD_MESSAGE, window_bits)),
+            // The last record's index, out of range.
+            (
+                |p, bundle| {
+                    let l_width = p.params().l_width();
+                    bundle.write_u64(3 * p.codec().block_bits() + 2, 15, l_width)
+                },
+                malformed(1, 4, BAD_RECORD, window_bits),
+            ),
+            // Not a whole number of records.
+            (|_, bundle| bundle.extend_zeros(5), malformed(1, 4, BAD_MESSAGE, window_bits + 5)),
+        ];
+        for (tamper, expected) in cases {
+            let (pipeline, mut sim) = malformed_setup();
+            sim.set_logic(1, Arc::new(Tamper { inner: pipeline, victim: 1, at: 3, tamper }));
+            assert_eq!(sim.run_until_output(1000).unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn repeated_block_index_last_record_wins() {
+        // Every holder of block 0 also gets a later record for block 0
+        // with another body. The walk must use the later body everywhere,
+        // i.e. compute the function of the patched input.
+        let params = LineParams::new(64, 60, 16, 12);
+        let assignment = BlockAssignment::new(params.v, 4, 4);
+        let pipeline = Pipeline::new(params, assignment, Target::Line);
+        let oracle = Arc::new(LazyOracle::square(13, params.n));
+        let mut rng = StdRng::seed_from_u64(13);
+        let blocks = random_blocks(&mut rng, params.v, params.u);
+        let mut patched = blocks.clone();
+        patched[0] = BitVec::from_u64(!blocks[0].read_u64(0, 16) & 0xFFFF, 16);
+        let s = pipeline.required_s() + pipeline.codec().block_bits();
+        let mut sim =
+            pipeline.build_simulation(oracle.clone(), RandomTape::new(0), s, None, &blocks);
+        for machine in (0..assignment.m).filter(|&j| assignment.holds(j, 0)) {
+            sim.seed_memory(machine, pipeline.codec().encode_block(0, &patched[0]));
+        }
+        let result = sim.run_until_output(1000).unwrap();
+        let line = Line::new(params);
+        assert_eq!(result.sole_output().unwrap(), &line.eval(&*oracle, &patched));
+        assert_ne!(result.sole_output().unwrap(), &line.eval(&*oracle, &blocks));
+    }
+
+    #[test]
+    fn block_table_empties_on_every_walk_including_wraparound() {
+        let mut table = BlockTable::default();
+        table.begin(4);
+        table.insert(2, 0, 1);
+        table.insert(2, 1, 3);
+        assert_eq!(table.get(2), Some((1, 3)));
+        assert_eq!(table.get(1), None);
+        table.begin(8);
+        assert_eq!(table.get(2), None);
+        table.insert(7, 0, 0);
+        // A stamp wrapping to zero must not revive slots written under it.
+        table.walk = u32::MAX;
+        table.insert(5, 0, 0);
+        table.begin(8);
+        assert_eq!(table.walk, 1);
+        assert!((0..8).all(|idx| table.get(idx).is_none()));
     }
 
     #[test]

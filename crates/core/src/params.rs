@@ -84,6 +84,15 @@ impl LineParams {
         assert!(self.i_width() <= 63, "w too large for a 63-bit index field");
     }
 
+    /// Panics unless `blocks` is an input of this instance: `v` blocks of
+    /// `u` bits each.
+    pub fn check_blocks(&self, blocks: &[BitVec]) {
+        assert_eq!(blocks.len(), self.v, "expected v = {} blocks", self.v);
+        for (j, b) in blocks.iter().enumerate() {
+            assert_eq!(b.len(), self.u, "block {j} is not u = {} bits", self.u);
+        }
+    }
+
     /// Total input size `u·v` in bits — the `S` the function actually uses
     /// (the paper's `{0,1}^S` domain, with `S` rounded up to a multiple of
     /// `u`).

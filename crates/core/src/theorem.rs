@@ -167,13 +167,6 @@ pub fn reference_output<P: MeasurablePipeline + ?Sized>(
     }
 }
 
-// The pipeline does not expose its target directly; recover it from
-// behaviour-free configuration by probing the codec? Simpler: store it.
-// (See `Pipeline::target()` accessor added for this harness.)
-fn pipeline_target(pipeline: &Pipeline) -> Target {
-    pipeline.target()
-}
-
 /// Runs `pipeline` on the `(RO, X)` drawn from `seed` and measures the
 /// paper's quantities. `s_bits = None` uses exactly the configuration's
 /// required memory.
@@ -734,7 +727,7 @@ pub fn detect_skip_events(trace: &crate::trace::EvalTrace, queries: &[BitVec]) -
 /// the empirical counterpart of Lemma 3.3's `Pr[E^{(k)}]` bound.
 pub fn skip_events_in_run(pipeline: &Arc<Pipeline>, seed: u64) -> Vec<SkipEvent> {
     let (oracle, blocks) = draw_instance(pipeline.params(), seed);
-    let trace = match pipeline_target(pipeline) {
+    let trace = match pipeline.target() {
         Target::Line => Line::new(*pipeline.params()).trace(&*oracle, &blocks),
         Target::SimLine => SimLine::new(*pipeline.params()).trace(&*oracle, &blocks),
     };

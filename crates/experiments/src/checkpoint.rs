@@ -138,7 +138,14 @@ pub fn decode_cell_result(bytes: &[u8]) -> Result<CellResult, SnapshotError> {
     let mean_rounds = r.get_f64()?;
     let retries_used = r.get_u64()? as usize;
     let snapshot = if r.get_bool()? { Some(decode_metrics_snapshot(&mut r)?) } else { None };
-    Ok(CellResult { label, status, measurements, mean_rounds, retries_used, snapshot })
+    Ok(CellResult {
+        label,
+        status,
+        measurements,
+        mean_rounds,
+        retries_used,
+        snapshot: snapshot.map(Box::new),
+    })
 }
 
 fn encode_metrics_snapshot(w: &mut SnapshotWriter, snap: &MetricsSnapshot) {

@@ -462,7 +462,7 @@ pub fn run_cells_sharded(cells: Vec<ShardCell>, cfg: &SupervisorConfig) -> Vec<C
                 mean_rounds: if correct.is_empty() { 0.0 } else { theorem::mean_of(&correct) },
                 measurements,
                 retries_used: 0,
-                snapshot: recorder.map(|r| r.snapshot()),
+                snapshot: recorder.map(|r| Box::new(r.snapshot())),
             }
         })
         .collect()

@@ -180,8 +180,11 @@ pub struct CellResult {
     /// Total retry attempts spent on this cell's faulty trials.
     pub retries_used: usize,
     /// The cell's aggregated telemetry (when requested), tagged via
-    /// [`theorem::run_tags`] with the resolved `s` and `q`.
-    pub snapshot: Option<MetricsSnapshot>,
+    /// [`theorem::run_tags`] with the resolved `s` and `q`. Boxed,
+    /// because inline the snapshot is most of a `CellResult`'s size and
+    /// most cells carry none: a caller that keeps many results holds
+    /// about a third of the bytes per cell.
+    pub snapshot: Option<Box<MetricsSnapshot>>,
 }
 
 impl CellResult {
@@ -288,7 +291,7 @@ pub fn run_sweep(cells: Vec<Cell>) -> Vec<CellResult> {
                 mean_rounds: if correct.is_empty() { 0.0 } else { theorem::mean_of(&correct) },
                 measurements,
                 retries_used,
-                snapshot: recorder.map(|r| r.snapshot()),
+                snapshot: recorder.map(|r| Box::new(r.snapshot())),
             }
         })
         .collect()
