@@ -7,7 +7,8 @@
 //!
 //! 1. **`oracle_repeated_queries`** — `distinct` random inputs asked
 //!    `repeats` times each, bare [`LazyOracle`] vs [`CachedOracle`] vs
-//!    `CachedOracle::query_many`. Answers are checked byte-identical
+//!    `CachedOracle::query_many`. `bare_ns_per_query` records the cold
+//!    derivation cost of one answer. Answers are checked byte-identical
 //!    (Lemma 3.3 makes the cache observationally invisible) and the
 //!    cached path must be ≥ 2× faster than the bare path, and the batched
 //!    path must not lose to it.
@@ -69,6 +70,8 @@
 //! still runs, the ≥ 2× speedup assertion is skipped (timings on
 //! micro-sizes are noise), and the report goes to
 //! `target/reports/bench_mpc_smoke.json` instead of the repo root.
+
+#![forbid(unsafe_code)]
 
 use mph_bits::{random_blocks, BitVec};
 use mph_core::algorithms::pipeline::{Pipeline, Target};
@@ -230,6 +233,9 @@ fn bench_oracle(sizes: &Sizes, strict: bool) -> (String, Json) {
         ("repeats", Json::u64(sizes.repeats as u64)),
         ("total_queries", Json::u64(queries.len() as u64)),
         ("bare_ns", Json::u64(bare_ns)),
+        // Every bare query is a cold derivation: the per-answer cost of a
+        // `LazyOracle` (key digest, ChaCha12 block) at this width.
+        ("bare_ns_per_query", Json::f64(bare_ns as f64 / queries.len() as f64)),
         ("cached_ns", Json::u64(cached_ns)),
         ("batched_ns", Json::u64(batched_ns)),
         ("cached_speedup", Json::f64(cached_speedup)),

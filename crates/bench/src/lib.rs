@@ -3,3 +3,5 @@
 //! Criterion benches, one group per paper artifact plus substrate
 //! microbenchmarks. See `benches/` and EXPERIMENTS.md; run with
 //! `cargo bench --workspace`.
+
+#![forbid(unsafe_code)]

@@ -23,6 +23,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod bitvec;
 pub mod cursor;

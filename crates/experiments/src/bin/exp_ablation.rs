@@ -11,6 +11,8 @@
 //!    `m×` the token communication — the bound is information-theoretic,
 //!    not a routing artifact.
 
+#![forbid(unsafe_code)]
+
 use mph_core::algorithms::broadcast::Broadcast;
 use mph_core::algorithms::pipeline::{Pipeline, Target};
 use mph_core::algorithms::BlockAssignment;

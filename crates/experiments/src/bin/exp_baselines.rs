@@ -11,6 +11,8 @@
 //! `--trials N --seed N --quick --checkpoint-every N` (the last makes the
 //! hard-function sweep durably resumable — see docs/ROBUSTNESS.md).
 
+#![forbid(unsafe_code)]
+
 use mph_core::algorithms::pipeline::Target;
 use mph_experiments::checkpoint;
 use mph_experiments::setup::{demo_pipeline, fmt, SweepArgs};

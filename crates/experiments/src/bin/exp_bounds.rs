@@ -5,6 +5,8 @@
 //! stated for, showing each lemma's bound doing its job and how the terms
 //! trade off.
 
+#![forbid(unsafe_code)]
+
 use mph_bounds::{regimes, Log2};
 use mph_bounds::{LineBoundInputs, SimLineBoundInputs};
 use mph_experiments::Report;

@@ -10,6 +10,8 @@
 //! Besides the stdout tables, writes `target/reports/exp_compression.json`
 //! with the same cells (see docs/OBSERVABILITY.md).
 
+#![forbid(unsafe_code)]
+
 use mph_bits::BitVec;
 use mph_compression::{LineEncoder, PipelineRound, SimLineEncoder};
 use mph_core::algorithms::pipeline::{Pipeline, Target};

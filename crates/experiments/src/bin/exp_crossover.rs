@@ -7,6 +7,8 @@
 //! program's measured time/space (the same for every point — the RAM
 //! doesn't care about `s`).
 
+#![forbid(unsafe_code)]
+
 use mph_core::algorithms::pipeline::Target;
 use mph_core::{theorem, Line};
 use mph_experiments::setup::{demo_params, demo_pipeline, fmt, SweepArgs};

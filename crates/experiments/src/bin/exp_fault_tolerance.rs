@@ -22,6 +22,8 @@
 //! per-cell telemetry snapshots whose `faults` object counts the
 //! injected crashes (see docs/ROBUSTNESS.md).
 
+#![forbid(unsafe_code)]
+
 use mph_core::algorithms::pipeline::Target;
 use mph_core::algorithms::ReplicatedPipeline;
 use mph_experiments::checkpoint;

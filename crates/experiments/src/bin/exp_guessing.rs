@@ -6,6 +6,8 @@
 //! (all blocks, the target index, the correct block pointer) and measure
 //! its hit rate across `(RO, X)` draws at several `u`.
 
+#![forbid(unsafe_code)]
+
 use mph_core::algorithms::guess_ahead_experiment;
 use mph_core::LineParams;
 use mph_experiments::Report;

@@ -6,6 +6,8 @@
 //! non-parallelizability interpretation (a sequential KDF / time-lock
 //! flavor, the MHF connection of §1.2).
 
+#![forbid(unsafe_code)]
+
 use mph_core::{Line, LineParams};
 use mph_experiments::setup::fmt;
 use mph_experiments::Report;

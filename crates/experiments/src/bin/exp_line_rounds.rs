@@ -19,6 +19,8 @@
 //! `mph-metrics` (see docs/OBSERVABILITY.md for a worked example of this
 //! report).
 
+#![forbid(unsafe_code)]
+
 use mph_core::algorithms::pipeline::Target;
 use mph_experiments::checkpoint;
 use mph_experiments::setup::{demo_pipeline, fmt, SweepArgs};

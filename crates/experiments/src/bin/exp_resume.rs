@@ -27,6 +27,8 @@
 //!   verify against an in-process baseline, write the report;
 //! * `full` — all of the above in one process.
 
+#![forbid(unsafe_code)]
+
 use mph_core::algorithms::pipeline::Target;
 use mph_experiments::checkpoint::{self, CheckpointConfig};
 use mph_experiments::setup::{demo_pipeline, fmt, SweepArgs};

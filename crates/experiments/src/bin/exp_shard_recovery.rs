@@ -20,6 +20,8 @@
 //! `MPH_WORKER_BIN` at a worker. Flags: the shared
 //! `--trials N --seed N --quick` set.
 
+#![forbid(unsafe_code)]
+
 use mph_core::theorem::{self, RetryPolicy, RoundMeasurement};
 use mph_experiments::setup::{fmt, SweepArgs};
 use mph_experiments::shard::{self, measure_sharded, ShardSpec};

@@ -15,6 +15,8 @@
 //! with the same cells plus the per-point telemetry snapshots recorded by
 //! `mph-metrics` (see docs/OBSERVABILITY.md).
 
+#![forbid(unsafe_code)]
+
 use mph_bounds::SimLineBoundInputs;
 use mph_core::algorithms::pipeline::Target;
 use mph_experiments::checkpoint;

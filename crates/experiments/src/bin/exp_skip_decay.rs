@@ -7,6 +7,8 @@
 //! distribution of real pipeline runs and compare its tail to the
 //! geometric prediction.
 
+#![forbid(unsafe_code)]
+
 use mph_core::algorithms::pipeline::Target;
 use mph_core::theorem;
 use mph_experiments::setup::{demo_pipeline, SweepArgs};

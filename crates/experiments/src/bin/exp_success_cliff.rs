@@ -10,6 +10,8 @@
 //! round need `≈ w·(1 − s/S)`, certain success above it, and the 1/3
 //! threshold crossed inside a narrow window.
 
+#![forbid(unsafe_code)]
+
 use mph_core::algorithms::pipeline::Target;
 use mph_core::correctness;
 use mph_experiments::setup::{demo_pipeline, SweepArgs};

@@ -3,6 +3,8 @@
 //! pointer revealed by its predecessor. Rendered from a real evaluation
 //! trace, as ASCII and as Graphviz DOT.
 
+#![forbid(unsafe_code)]
+
 use mph_core::{Line, LineParams};
 use mph_experiments::Report;
 use mph_oracle::LazyOracle;

@@ -12,6 +12,8 @@
 //! processes, real crashes" and "Layer 6 — network faults and
 //! partitions".
 
+#![forbid(unsafe_code)]
+
 fn main() {
     std::process::exit(mph_experiments::shard::worker_main());
 }

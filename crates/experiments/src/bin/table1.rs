@@ -2,6 +2,8 @@
 //! model's side constraints (`m·s = Θ(N)`, `N^ε ≤ m ≤ N^{1−ε}`) checked
 //! on a concrete configuration.
 
+#![forbid(unsafe_code)]
+
 use mph_bounds::tables;
 use mph_experiments::sweep::grid_map;
 use mph_experiments::Report;

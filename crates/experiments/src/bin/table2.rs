@@ -2,6 +2,8 @@
 //! quantitative regime check — for which `n` the theorem's machinery
 //! actually certifies hardness at a fixed workload.
 
+#![forbid(unsafe_code)]
+
 use mph_bounds::regimes;
 use mph_bounds::tables;
 use mph_core::LineParams;

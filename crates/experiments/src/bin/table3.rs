@@ -2,6 +2,8 @@
 //! parameters, computed from the same `LineParams` struct every other
 //! component uses.
 
+#![forbid(unsafe_code)]
+
 use mph_bounds::tables;
 use mph_core::LineParams;
 use mph_experiments::sweep::grid_map;

@@ -2,9 +2,11 @@
 //!
 //! Every measured run funnels through `Oracle::query`, and the honest
 //! pipeline plus the compression encoder re-query the same entries
-//! thousands of times. [`LazyOracle`](crate::LazyOracle) pays a fresh
-//! SHA-256 + ChaCha keystream per call, so memoizing repeats is the
-//! highest-leverage speedup in the workspace.
+//! thousands of times. A cold [`LazyOracle`](crate::LazyOracle) answer
+//! costs one SHA-256 compression of the key message (two once the query
+//! exceeds 104 bits), one ChaCha12 block, and an intern here — a few
+//! hundred nanoseconds. A warm hit costs a fingerprint probe and a word
+//! copy, so memoizing repeats still pays wherever entries repeat.
 //!
 //! Caching is *semantically invisible* by Lemma 3.3's lazy-sampling
 //! argument: a random oracle's answers are determined per entry, not per
@@ -33,7 +35,10 @@
 //!
 //! A warm hit therefore costs one 64-bit hash of the query words, one table
 //! probe, and a word copy of the answer — no allocation (via
-//! [`Oracle::query_into`]) and no `BitVec` clones. Eviction is FIFO per
+//! [`Oracle::query_into`]) and no `BitVec` clones. A miss through
+//! `query_into` derives straight into the caller's buffer with the inner
+//! oracle's `query_into` and is interned from that buffer, so the cold
+//! path allocates nothing beyond arena growth either. Eviction is FIFO per
 //! shard, tracked by a ring cursor over the slot array rather than a
 //! `VecDeque` of owned keys.
 
@@ -379,6 +384,18 @@ impl<O: Oracle> CachedOracle<O> {
         }
     }
 
+    /// The width contract for a view query.
+    #[inline]
+    fn check_view_width(&self, input: &BitSlice<'_>) {
+        assert_eq!(
+            input.len(),
+            self.n_in,
+            "CachedOracle: query width {} does not match oracle domain {}",
+            input.len(),
+            self.n_in
+        );
+    }
+
     /// Records and classifies a hit.
     #[inline]
     fn note_hit(&self) {
@@ -393,29 +410,29 @@ impl<O: Oracle> CachedOracle<O> {
         emit(&self.metrics, || Event::OracleQuery { kind: QueryKind::Fresh });
     }
 
-    /// Resolves one gathered key against its shard: warm answers come
-    /// straight from the arena via `on_hit` (borrowing the locked shard);
-    /// misses derive from `fresh` while the stripe lock is held — so a key
-    /// is never computed (and counted fresh) twice — and are interned.
-    fn resolve<R>(
+    /// Resolves one gathered key against its shard into `out`: a warm
+    /// answer is copied straight from the arena; a miss is derived by
+    /// `fresh` into `out` while the stripe lock is held — so a key is never
+    /// computed (and counted fresh) twice — and interned from `out`.
+    fn resolve_into(
         &self,
         key: &[u64],
         len_bits: usize,
-        fresh: impl FnOnce() -> BitVec,
-        on_hit: impl FnOnce(&[u64]) -> R,
-        on_miss: impl FnOnce(BitVec) -> R,
-    ) -> R {
+        out: &mut BitVec,
+        fresh: impl FnOnce(&mut BitVec),
+    ) {
         let (kw, aw) = (self.key_words, self.ans_words);
         let h = fingerprint(key, len_bits);
         let mut guard = self.shards[(h as usize) & (SHARDS - 1)].lock();
         if let Some(s) = guard.lookup(h, key, kw) {
             self.note_hit();
-            return on_hit(&guard.answers[s * aw..(s + 1) * aw]);
+            out.copy_from_words(&guard.answers[s * aw..(s + 1) * aw], self.n_out);
+            return;
         }
-        let answer = fresh();
+        fresh(out);
         self.note_miss();
-        guard.insert(h, key, answer.words(), kw, aw, self.capacity_per_shard);
-        on_miss(answer)
+        debug_assert_eq!(out.len(), self.n_out, "inner oracle answered the wrong width");
+        guard.insert(h, key, out.words(), kw, aw, self.capacity_per_shard);
     }
 
     /// Batch resolution over gathered keys — the core of `query_many`,
@@ -493,13 +510,7 @@ impl<O: Oracle> CachedOracle<O> {
         scratch.miss_members.clear();
 
         for (i, input) in inputs.iter().enumerate() {
-            assert_eq!(
-                input.len(),
-                self.n_in,
-                "CachedOracle: query width {} does not match oracle domain {}",
-                input.len(),
-                self.n_in
-            );
+            self.check_view_width(input);
             let key: &[u64] = if in_place {
                 input.as_words().expect("in-place batch keys are aligned")
             } else {
@@ -601,57 +612,31 @@ impl<O: Oracle> Oracle for CachedOracle<O> {
 
     fn query(&self, input: &BitVec) -> BitVec {
         check_input_width("CachedOracle", self.n_in, input);
-        self.resolve(
-            input.words(),
-            input.len(),
-            || self.inner.query(input),
-            |answer_words| BitVec::from_words(answer_words, self.n_out),
-            |answer| answer,
-        )
+        let mut out = BitVec::new();
+        self.resolve_into(input.words(), input.len(), &mut out, |out| {
+            *out = self.inner.query(input);
+        });
+        out
     }
 
     fn query_slice(&self, input: &BitSlice<'_>) -> BitVec {
-        assert_eq!(
-            input.len(),
-            self.n_in,
-            "CachedOracle: query width {} does not match oracle domain {}",
-            input.len(),
-            self.n_in
-        );
+        self.check_view_width(input);
+        let mut out = BitVec::new();
         with_slice_words(input, |key| {
-            self.resolve(
-                key,
-                input.len(),
-                || self.inner.query_slice(input),
-                |answer_words| BitVec::from_words(answer_words, self.n_out),
-                |answer| answer,
-            )
-        })
+            self.resolve_into(key, input.len(), &mut out, |out| {
+                *out = self.inner.query_slice(input);
+            })
+        });
+        out
     }
 
     fn query_into(&self, input: &BitSlice<'_>, out: &mut BitVec) {
-        assert_eq!(
-            input.len(),
-            self.n_in,
-            "CachedOracle: query width {} does not match oracle domain {}",
-            input.len(),
-            self.n_in
-        );
+        self.check_view_width(input);
         // The allocation-free read path: a warm hit copies the interned
-        // answer words straight into the caller's buffer.
-        let moved = std::mem::take(out);
-        *out = with_slice_words(input, |key| {
-            self.resolve(
-                key,
-                input.len(),
-                || self.inner.query_slice(input),
-                |answer_words| {
-                    let mut buf = moved;
-                    buf.copy_from_words(answer_words, self.n_out);
-                    buf
-                },
-                |answer| answer,
-            )
+        // answer words into the caller's buffer, and a miss derives into
+        // that same buffer and is interned from it.
+        with_slice_words(input, |key| {
+            self.resolve_into(key, input.len(), out, |out| self.inner.query_into(input, out))
         });
     }
 

@@ -18,7 +18,7 @@
 use crate::sha256::Sha256;
 use crate::traits::{check_input_width, with_slice_words, Oracle};
 use mph_bits::{BitSlice, BitVec};
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
 /// A random oracle presented lazily from a hidden seed.
@@ -42,6 +42,12 @@ pub struct LazyOracle {
     seed: u64,
     n_in: usize,
     n_out: usize,
+    /// The digest state after the constant key prefix
+    /// `"mph-oracle/lazy/v1" ‖ seed ‖ n_in ‖ n_out` (42 bytes). Every
+    /// query clones it and absorbs only the query words, so the key
+    /// message — and hence every answer — is byte-for-byte the one a
+    /// from-scratch hasher would build.
+    prefix: Sha256,
 }
 
 impl LazyOracle {
@@ -52,7 +58,12 @@ impl LazyOracle {
     /// iterate the seed.
     pub fn new(seed: u64, n_in: usize, n_out: usize) -> Self {
         assert!(n_out > 0, "oracle output width must be positive");
-        LazyOracle { seed, n_in, n_out }
+        let mut prefix = Sha256::new();
+        prefix.update(b"mph-oracle/lazy/v1");
+        prefix.update(&seed.to_le_bytes());
+        prefix.update(&(n_in as u64).to_le_bytes());
+        prefix.update(&(n_out as u64).to_le_bytes());
+        LazyOracle { seed, n_in, n_out, prefix }
     }
 
     /// A square oracle `{0,1}^n → {0,1}^n`, the paper's standard shape.
@@ -66,20 +77,34 @@ impl LazyOracle {
         self.seed
     }
 
-    /// Derives the answer: a ChaCha stream keyed by a domain-separated
-    /// digest of `(seed, widths, query bytes)`, where `feed` supplies the
-    /// query bytes. Both the owned and the view-based query paths funnel
-    /// here, so they are bit-identical by construction.
-    fn derive(&self, feed: impl FnOnce(&mut Sha256)) -> BitVec {
-        let mut h = Sha256::new();
-        h.update(b"mph-oracle/lazy/v1");
-        h.update(&self.seed.to_le_bytes());
-        h.update(&(self.n_in as u64).to_le_bytes());
-        h.update(&(self.n_out as u64).to_le_bytes());
-        feed(&mut h);
-        let key = h.finalize();
-        let mut rng = ChaCha12Rng::from_seed(key);
-        mph_bits::random_bitvec(&mut rng, self.n_out)
+    /// Derives the answer for the query whose packed words are `words`
+    /// into `out`: a ChaCha stream keyed by the domain-separated digest of
+    /// `(seed, widths, query bytes)`, one `u64` per answer word, the last
+    /// masked to `n_out`. Every query path funnels here, so owned, view
+    /// and buffer queries are bit-identical by construction.
+    ///
+    /// `words` are the query's little-endian packed words with tail bits
+    /// beyond `n_in` zero, so they hash exactly the bytes
+    /// `BitVec::to_bytes` would produce.
+    fn derive_into(&self, words: &[u64], out: &mut BitVec) {
+        let mut h = self.prefix.clone();
+        h.update_words(words, self.n_in);
+        let mut rng = ChaCha12Rng::from_seed(h.finalize());
+        // Resize without reallocating a recycled buffer, then overwrite
+        // in chunks of a stack block (one chunk for n_out <= 2048).
+        out.clear();
+        out.extend_zeros(self.n_out);
+        let mut block = [0u64; 32];
+        let mut at = 0;
+        while at < self.n_out {
+            let take = (self.n_out - at).min(64 * block.len());
+            let chunk = &mut block[..take.div_ceil(64)];
+            for word in chunk.iter_mut() {
+                *word = rng.next_u64();
+            }
+            out.write_words(at, chunk, take);
+            at += take;
+        }
     }
 }
 
@@ -94,13 +119,20 @@ impl Oracle for LazyOracle {
 
     fn query(&self, input: &BitVec) -> BitVec {
         check_input_width("LazyOracle", self.n_in, input);
-        // Feed the key schedule straight from the query's words — no
-        // intermediate byte `Vec`. `BitVec` keeps tail bits beyond `len`
-        // zero, so the word stream is byte-for-byte the old `to_bytes` feed.
-        self.derive(|h| h.update_words(input.words(), input.len()))
+        // `BitVec` keeps tail bits beyond `len` zero, so its words are the
+        // exact key-schedule feed — no intermediate byte `Vec`.
+        let mut out = BitVec::new();
+        self.derive_into(input.words(), &mut out);
+        out
     }
 
     fn query_slice(&self, input: &BitSlice<'_>) -> BitVec {
+        let mut out = BitVec::new();
+        self.query_into(input, &mut out);
+        out
+    }
+
+    fn query_into(&self, input: &BitSlice<'_>, out: &mut BitVec) {
         assert_eq!(
             input.len(),
             self.n_in,
@@ -112,7 +144,7 @@ impl Oracle for LazyOracle {
         // query: `read_word` masks tail bits to zero, so the gathered words
         // contribute exactly the bytes `BitVec::to_bytes` would produce and
         // the key — therefore the answer — equals the owned path's.
-        self.derive(|h| with_slice_words(input, |words| h.update_words(words, input.len())))
+        with_slice_words(input, |words| self.derive_into(words, out));
     }
 }
 

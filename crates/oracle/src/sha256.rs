@@ -7,9 +7,15 @@
 //! is built within this workspace. It backs [`crate::HashOracle`] (the
 //! concrete `f^h`) and keys [`crate::LazyOracle`]'s answer derivation.
 //!
-//! The implementation is the straightforward one-block-at-a-time compression
-//! function; it processes a few hundred MB/s, far more than the experiments
-//! need. Correctness is pinned by the FIPS test vectors below.
+//! The compression function has two kernels with identical output. On
+//! x86_64 CPUs with the SHA extensions (SHA-NI, detected at run time) one
+//! block costs a few dozen nanoseconds through `sha256rnds2`,
+//! `sha256msg1` and `sha256msg2`; everywhere else the portable scalar loop
+//! runs. The scalar kernel is also the reference: the FIPS and CAVP
+//! vectors below pin it directly, and a differential property test checks
+//! the hardware kernel against it block by block. This matters because
+//! one compression dominates a cold [`crate::LazyOracle`] answer — the
+//! cost of every first query of a trial.
 
 /// Initial hash values: the first 32 bits of the fractional parts of the
 /// square roots of the first 8 primes.
@@ -179,31 +185,25 @@ impl Sha256 {
     /// Completes the hash, returning the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian bit length.
-        self.update_padding(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update_padding(&[0]);
+        // Padding: 0x80, zeros, 64-bit big-endian bit length — written in
+        // one pass, spilling into a second block only when fewer than 9
+        // bytes of the current one are free.
+        let used = self.buffer_len;
+        self.buffer[used] = 0x80;
+        self.buffer[used + 1..].fill(0);
+        if used >= 56 {
+            let block = self.buffer;
+            self.compress(&block);
+            self.buffer = [0; 64];
         }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffer_len, 0);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        let block = self.buffer;
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
-    }
-
-    /// `update` without advancing `total_len` (padding is not message data).
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buffer[self.buffer_len] = b;
-            self.buffer_len += 1;
-            if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
     }
 
     /// The SHA-256 compression function on one 64-byte block.
@@ -216,42 +216,142 @@ impl Sha256 {
     }
 
     /// The compression function on one block given as its 16 big-endian
-    /// schedule head words (the word-streaming entry point).
+    /// schedule head words (the word-streaming entry point). Dispatches to
+    /// the SHA-NI kernel when the CPU has it, else the scalar loop.
+    #[inline]
     fn compress_words(&mut self, head: &[u32; 16]) {
-        let mut w = [0u32; 64];
-        w[..16].copy_from_slice(head);
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        if !compress_hardware(&mut self.state, head) {
+            compress_scalar(&mut self.state, head);
+        }
+    }
+}
+
+/// The portable compression function: the FIPS 180-4 message schedule and
+/// 64 rounds, one block. The reference every other kernel must match.
+fn compress_scalar(state: &mut [u32; 8], head: &[u32; 16]) {
+    let mut w = [0u32; 64];
+    w[..16].copy_from_slice(head);
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// Runs the SHA-NI kernel on one block when the CPU supports it, returning
+/// whether it ran. Detection is cached by `std` after the first call, so
+/// the check is one relaxed atomic load per block.
+#[inline]
+fn compress_hardware(state: &mut [u32; 8], head: &[u32; 16]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sha") && std::arch::is_x86_feature_detected!("sse4.1") {
+        // SAFETY: `shani::compress` needs exactly the `sha` and `sse4.1`
+        // target features (which imply the SSE2 and SSSE3 it also uses),
+        // and both were just detected on this CPU.
+        unsafe { shani::compress(state, head) };
+        return true;
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (state, head);
+    false
+}
+
+/// The SHA-NI compression kernel (Intel SHA extensions).
+///
+/// The hardware keeps the eight working variables as two vectors,
+/// `ABEF` and `CDGH`; each `sha256rnds2` performs two rounds, so a group
+/// of four rounds is two instructions fed one vector of `W[i] + K[i]`.
+/// `sha256msg1` / `sha256msg2` compute the message schedule four words at
+/// a time.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// `[x[i], x[i + 1], x[i + 2], x[i + 3]]` as one vector, lane 0 first.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn lanes(x: &[u32], i: usize) -> __m128i {
+        _mm_set_epi32(x[i + 3] as i32, x[i + 2] as i32, x[i + 1] as i32, x[i] as i32)
+    }
+
+    /// Four rounds: `msg` holds schedule words `4·group .. 4·group + 4`.
+    #[inline]
+    #[target_feature(enable = "sha")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, msg: __m128i, group: usize) {
+        let wk = _mm_add_epi32(msg, lanes(&K, 4 * group));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+    }
+
+    /// The next four schedule words from the previous sixteen (`w0` oldest).
+    #[inline]
+    #[target_feature(enable = "sha,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8::<4>(w3, w2));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// One block through the SHA-NI rounds; bit-identical to
+    /// `compress_scalar`.
+    #[target_feature(enable = "sha,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], head: &[u32; 16]) {
+        // Repack [a b c d] [e f g h] into the ABEF / CDGH lane order.
+        let cdab = _mm_shuffle_epi32::<0xB1>(lanes(state, 0));
+        let efgh = _mm_shuffle_epi32::<0x1B>(lanes(state, 4));
+        let mut abef = _mm_alignr_epi8::<8>(cdab, efgh);
+        let mut cdgh = _mm_blend_epi16::<0xF0>(efgh, cdab);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        let mut w = [lanes(head, 0), lanes(head, 4), lanes(head, 8), lanes(head, 12)];
+        for (group, &msg) in w.iter().enumerate() {
+            rounds4(&mut abef, &mut cdgh, msg, group);
+        }
+        for group in 4..16 {
+            let next = schedule(w[0], w[1], w[2], w[3]);
+            rounds4(&mut abef, &mut cdgh, next, group);
+            w = [w[1], w[2], w[3], next];
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
-        }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        // Back to [a b c d] [e f g h].
+        let feba = _mm_shuffle_epi32::<0x1B>(abef);
+        let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
+        let dcba = _mm_blend_epi16::<0xF0>(feba, dchg);
+        let hgef = _mm_alignr_epi8::<8>(dchg, feba);
+        *state = [
+            _mm_extract_epi32::<0>(dcba) as u32,
+            _mm_extract_epi32::<1>(dcba) as u32,
+            _mm_extract_epi32::<2>(dcba) as u32,
+            _mm_extract_epi32::<3>(dcba) as u32,
+            _mm_extract_epi32::<0>(hgef) as u32,
+            _mm_extract_epi32::<1>(hgef) as u32,
+            _mm_extract_epi32::<2>(hgef) as u32,
+            _mm_extract_epi32::<3>(hgef) as u32,
+        ];
     }
 }
 
@@ -275,42 +375,88 @@ pub fn sha256_concat(parts: &[&[u8]]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(digest: &[u8; 32]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// SHA-256 of `msg` through the scalar kernel alone, with its own
+    /// padding: checks the portable fallback even on CPUs where dispatch
+    /// always picks the hardware kernel.
+    pub(super) fn scalar_sha256(msg: &[u8]) -> [u8; 32] {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            let mut head = [0u32; 16];
+            for (word, bytes) in head.iter_mut().zip(block.chunks_exact(4)) {
+                *word = u32::from_be_bytes(bytes.try_into().unwrap());
+            }
+            compress_scalar(&mut state, &head);
+        }
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// Asserts both the dispatched hasher and the scalar kernel produce
+    /// `expected` for `msg`.
+    fn assert_digest(msg: &[u8], expected: &str) {
+        assert_eq!(hex(&sha256(msg)), expected, "dispatched, len {}", msg.len());
+        assert_eq!(hex(&scalar_sha256(msg)), expected, "scalar, len {}", msg.len());
+    }
+
     #[test]
     fn fips_vector_empty() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        assert_digest(b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
     }
 
     #[test]
     fn fips_vector_abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        assert_digest(b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
     }
 
     #[test]
     fn fips_vector_two_blocks() {
-        assert_eq!(
-            hex(&sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_digest(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn fips_vector_million_a() {
-        let msg = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&msg)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_digest(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hardware kernel equals the scalar reference on arbitrary
+        /// chaining states and blocks, not only on states reachable from
+        /// `H0`.
+        #[test]
+        fn hardware_compress_matches_scalar(words in prop::collection::vec(any::<u32>(), 24)) {
+            let mut hardware: [u32; 8] = words[..8].try_into().unwrap();
+            let head: [u32; 16] = words[8..].try_into().unwrap();
+            let mut scalar = hardware;
+            compress_scalar(&mut scalar, &head);
+            if !compress_hardware(&mut hardware, &head) {
+                eprintln!("sha256: this CPU has no SHA extensions; only the scalar kernel ran");
+                return Ok(());
+            }
+            prop_assert_eq!(hardware, scalar);
+        }
     }
 
     #[test]
@@ -339,8 +485,9 @@ mod tests {
 
     #[test]
     fn length_extension_boundary_inputs() {
-        // Messages whose padded length straddles one vs two extra blocks.
-        for len in [55usize, 56, 57, 63, 64, 119, 120] {
+        // Messages whose padded length straddles one vs two extra blocks:
+        // 55 bytes leave room for 0x80 and the length, 56..=63 do not.
+        for len in [0usize, 1, 54, 55, 56, 57, 62, 63, 64, 119, 120, 127, 128] {
             let msg = vec![0xAB; len];
             let d1 = sha256(&msg);
             let mut h = Sha256::new();
@@ -348,6 +495,7 @@ mod tests {
                 h.update(std::slice::from_ref(b));
             }
             assert_eq!(h.finalize(), d1, "len {len}");
+            assert_eq!(scalar_sha256(&msg), d1, "independent padding, len {len}");
         }
     }
 
@@ -474,7 +622,10 @@ mod cavp_vectors {
             ),
         ];
         for (msg, expected) in vectors {
-            assert_eq!(hex_digest(&sha256(&from_hex(msg))), expected, "msg {msg}");
+            let msg_bytes = from_hex(msg);
+            assert_eq!(hex_digest(&sha256(&msg_bytes)), expected, "msg {msg}");
+            let scalar = super::tests::scalar_sha256(&msg_bytes);
+            assert_eq!(hex_digest(&scalar), expected, "scalar kernel, msg {msg}");
         }
     }
 }

@@ -71,7 +71,9 @@ pub trait Oracle: Send + Sync {
     /// a warm hit copies the interned answer words straight into `out`
     /// without allocating, letting callers that loop (`RoundCtx::query` in
     /// the executor's compute phase) reuse one scratch `BitVec` across
-    /// queries.
+    /// queries. [`crate::LazyOracle`] overrides it to write a fresh
+    /// derivation into `out`, which is how a cached miss stays
+    /// allocation-free too.
     fn query_into(&self, input: &BitSlice<'_>, out: &mut BitVec) {
         *out = self.query_slice(input);
     }

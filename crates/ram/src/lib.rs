@@ -24,6 +24,7 @@
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
+#![forbid(unsafe_code)]
 
 pub mod asm;
 pub mod codegen;

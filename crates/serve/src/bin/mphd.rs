@@ -10,6 +10,8 @@
 //! binary alongside spawns workers for sharded sessions by re-executing
 //! itself. See docs/ROBUSTNESS.md.
 
+#![forbid(unsafe_code)]
+
 use mph_serve::server::{Server, ServerConfig};
 use std::path::PathBuf;
 

@@ -15,6 +15,8 @@
 //! Exit codes: 0 success, 1 protocol/IO failure, 2 usage, 3 shed with
 //! `busy`.
 
+#![forbid(unsafe_code)]
+
 use mph_serve::jsonio;
 use mph_serve::proto::GridSpec;
 use mph_serve::session;
